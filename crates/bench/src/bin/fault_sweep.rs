@@ -34,7 +34,7 @@ use stencil::mesh::Mesh3D;
 use stencil::problem::manufactured;
 use wse_arch::{Fabric, FaultKindClass, FaultPlan, SplitMix64};
 use wse_core::recovery::{RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire};
-use wse_core::{WaferBicgstab, WaferBicgstabMulti};
+use wse_core::{WaferBicgstab, WaferBicgstabMulti, WaferSolver};
 use wse_float::F16;
 use wse_multi::{HostLink, MultiFabric};
 
@@ -161,7 +161,7 @@ fn run_sweep(cfg: &SweepConfig) {
     let mut fabric = Fabric::new(w, h);
     let solver = WaferBicgstab::build(&mut fabric, &a16);
     let live_words = fabric.tile(0, 0).mem.used() / 2;
-    let (_, stats, log) = solver.solve_with_recovery(&mut fabric, &a16, &b16, cfg.iters, &pol);
+    let (_, residuals, log) = solver.solve_with_recovery(&mut fabric, &a16, &b16, cfg.iters, &pol);
     let horizon = fabric.cycle().max(1);
     assert_eq!(
         log.outcome,
@@ -169,7 +169,7 @@ fn run_sweep(cfg: &SweepConfig) {
         "baseline must converge ({} iters, rel {:.3e}); residuals: {:?}",
         log.iterations,
         log.final_rel_residual,
-        stats.residuals
+        residuals
     );
 
     let mut rows: Vec<(FaultKindClass, usize, Cell)> = Vec::new();
@@ -352,7 +352,7 @@ fn run_multi_sweep(cfg: &SweepConfig) {
     // Fault-free ensemble baseline fixes the horizon and convergence point.
     let mut multi = MultiFabric::new(w, h, k, HostLink::paper_default());
     let solver = WaferBicgstabMulti::build(&mut multi, &a16);
-    let (_, stats, log) = solver.solve_with_recovery(&mut multi, &a16, &b16, cfg.iters, &pol);
+    let (_, residuals, log) = solver.solve_with_recovery(&mut multi, &a16, &b16, cfg.iters, &pol);
     let horizon = multi.cycle().max(1);
     assert_eq!(
         log.outcome,
@@ -360,7 +360,7 @@ fn run_multi_sweep(cfg: &SweepConfig) {
         "ensemble baseline must converge ({} iters, rel {:.3e}); residuals: {:?}",
         log.iterations,
         log.final_rel_residual,
-        stats.residuals
+        residuals
     );
 
     let mut rows: Vec<(FaultKindClass, usize, Cell)> = Vec::new();

@@ -23,6 +23,7 @@ use wse_core::allreduce::AllReduce;
 use wse_core::bicgstab::WaferBicgstab;
 use wse_core::routing::verify_tessellation;
 use wse_core::spmv2d::WaferSpmv2d;
+use wse_core::WaferSolver;
 use wse_float::F16;
 
 /// Result of the Table I experiment.
@@ -443,8 +444,8 @@ pub fn print_spmv2d() {
         let b16: Vec<F16> = sys.rhs.iter().map(|&v| F16::from_f64(v)).collect();
         let mut f2 = Fabric::new(4, 4);
         let s2 = WaferBicgstab2d::build(&mut f2, &a16, block);
-        s2.load_rhs(&mut f2, &b16);
-        let c2 = s2.iterate(&mut f2) as f64 / 256.0;
+        s2.load(&mut f2, &b16).expect("2D load stalled");
+        let c2 = s2.step(&mut f2, 0).expect("2D iteration stalled").total() as f64 / 256.0;
         println!(
             "BiCGStab cycles/meshpoint/iteration: 3D mapping {c3:.1}, 2D mapping {c2:.1} \
              (paper: \"approximately the same\")"

@@ -13,9 +13,9 @@
 //! cycle counts *worse* than the hardware's, never better.)
 
 use crate::allreduce::AllReduce;
-use crate::exec::WaferExec;
+use crate::exec::{TileRegion, WaferExec};
 use crate::kernels::{dot_stmts, xpay_stmts};
-use crate::recovery::{self, run_with_recovery, RecoveryLog, RecoveryPolicy, ResidualTripwire};
+use crate::recovery::WaferSolver;
 use crate::routing::configure_spmv_routes;
 use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout, SpmvTasks};
 use stencil::decomp::Mapping3D;
@@ -24,7 +24,7 @@ use stencil::precond::has_unit_diagonal;
 use wse_arch::core::Core;
 use wse_arch::dsr::mk;
 use wse_arch::fabric::StallReport;
-use wse_arch::instr::{Op, RegOp, Stmt, Task, TensorInstr};
+use wse_arch::instr::{Op, Stmt, Task, TensorInstr};
 use wse_arch::types::{Dtype, TaskId};
 use wse_arch::{Fabric, Tile};
 use wse_float::F16;
@@ -77,6 +77,82 @@ pub mod regs {
     /// have no conditionals, so breakdown-adjacent divisions are regularized
     /// with `x/(y+ε)` instead of being branched around.
     pub const EPS: Reg = 31;
+}
+
+/// The scalar coefficient task bodies, shared by the 3D and 2D BiCGStab
+/// drivers: each reads the AllReduce output(s) and updates the coefficient
+/// registers, computed redundantly by every core in fp32.
+pub(crate) mod coeff {
+    use super::regs::*;
+    use wse_arch::instr::{RegOp, Stmt};
+    use wse_arch::types::Reg;
+
+    fn arith(op: RegOp, dst: Reg, a: Reg, b: Reg) -> Stmt {
+        Stmt::RegArith { op, dst, a, b }
+    }
+
+    fn mov(dst: Reg, src: Reg) -> Stmt {
+        arith(RegOp::Mov, dst, src, src)
+    }
+
+    /// α := ρ / ((r̂₀, s) + ε).
+    pub(crate) fn post_r0s() -> Vec<Stmt> {
+        vec![
+            mov(R0S, AR_OUT),
+            arith(RegOp::Add, R0S, R0S, EPS),
+            arith(RegOp::Div, ALPHA, RHO, R0S),
+            arith(RegOp::Neg, NEG_ALPHA, ALPHA, ALPHA),
+        ]
+    }
+
+    /// Keeps (q, y) for the ω step.
+    pub(crate) fn post_qy() -> Vec<Stmt> {
+        vec![mov(QY, AR_OUT)]
+    }
+
+    /// ω := (q, y) / ((y, y) + ε).
+    pub(crate) fn post_yy() -> Vec<Stmt> {
+        vec![
+            mov(YY, AR_OUT),
+            arith(RegOp::Add, YY, YY, EPS),
+            arith(RegOp::Div, OMEGA, QY, YY),
+            arith(RegOp::Neg, NEG_OMEGA, OMEGA, OMEGA),
+        ]
+    }
+
+    /// Fused ω step: (q, y) and (y, y) from the two concurrent reductions.
+    pub(crate) fn post_omega_fused() -> Vec<Stmt> {
+        vec![
+            mov(QY, AR_OUT),
+            mov(YY, AR_OUT2),
+            arith(RegOp::Add, YY, YY, EPS),
+            arith(RegOp::Div, OMEGA, QY, YY),
+            arith(RegOp::Neg, NEG_OMEGA, OMEGA, OMEGA),
+        ]
+    }
+
+    /// β := ρ'/(ρ + ε) · α/(ω + ε), then ρ := ρ'.
+    pub(crate) fn post_rho() -> Vec<Stmt> {
+        vec![
+            mov(RHO_NEXT, AR_OUT),
+            arith(RegOp::Add, TMP, OMEGA, EPS),
+            arith(RegOp::Div, TMP, ALPHA, TMP),
+            arith(RegOp::Add, BETA, RHO, EPS),
+            arith(RegOp::Div, BETA, RHO_NEXT, BETA),
+            arith(RegOp::Mul, BETA, TMP, BETA),
+            mov(RHO, RHO_NEXT),
+        ]
+    }
+
+    /// ρ₀ := (r̂₀, r).
+    pub(crate) fn init_rho() -> Vec<Stmt> {
+        vec![mov(RHO, AR_OUT)]
+    }
+
+    /// Keeps ‖r‖² for the host.
+    pub(crate) fn post_rr() -> Vec<Stmt> {
+        vec![mov(RR, AR_OUT)]
+    }
 }
 
 /// Per-tile memory layout of the solver vectors (byte addresses). Shared
@@ -160,16 +236,18 @@ pub(crate) fn alloc_solver_vecs(tile: &mut Tile, z: u32) -> ([u32; 6], TileVecs)
     (diag, vecs)
 }
 
-/// Cycle counts of one iteration, by phase kind.
+/// Cycle counts of one iteration, by phase kind (shared by the 3D, 2D and
+/// CG drivers; BiCGStab runs two SpMVs, four dots and four AllReduce
+/// rounds per iteration, CG one SpMV and one or two rounds).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IterCycles {
-    /// The two SpMVs.
+    /// SpMV phases.
     pub spmv: u64,
-    /// The four local dot products.
+    /// Local dot products.
     pub dot: u64,
-    /// The four AllReduce rounds.
+    /// AllReduce rounds.
     pub allreduce: u64,
-    /// The six AXPY/XPAY vector updates.
+    /// AXPY/XPAY vector updates.
     pub update: u64,
     /// Scalar coefficient arithmetic.
     pub scalar: u64,
@@ -182,33 +260,12 @@ impl IterCycles {
     }
 }
 
-/// Statistics of a whole solve.
-#[derive(Clone, Debug, Default)]
-pub struct SolveStats {
-    /// Per-iteration cycle breakdowns.
-    pub iterations: Vec<IterCycles>,
-    /// Relative residual ‖r‖/‖b‖ per iteration (from the on-wafer dot).
-    pub residuals: Vec<f64>,
-}
-
-impl SolveStats {
-    /// Mean cycles per iteration.
-    pub fn mean_cycles(&self) -> f64 {
-        if self.iterations.is_empty() {
-            return 0.0;
-        }
-        self.iterations.iter().map(|i| i.total() as f64).sum::<f64>() / self.iterations.len() as f64
-    }
-}
-
 /// The wafer-resident BiCGStab solver.
 pub struct WaferBicgstab {
     mapping: Mapping3D,
+    region: TileRegion,
     tiles: Vec<(TileVecs, TileTasks)>,
     allreduce: AllReduce,
-    /// Second concurrent reduction network (present in fused mode).
-    #[allow(dead_code)] // retained so its routes/tasks stay alive with the solver
-    allreduce2: Option<AllReduce>,
     fused: bool,
 }
 
@@ -285,8 +342,14 @@ impl WaferBicgstab {
             }
         }
         crate::debug_lint(fabric);
-        WaferBicgstab { mapping, tiles, allreduce, allreduce2, fused }
+        WaferBicgstab { mapping, region: spmv_region(mapping), tiles, allreduce, fused }
     }
+}
+
+/// The fabric region of a z-column solver, with its compute-phase budget.
+pub(crate) fn spmv_region(m: Mapping3D) -> TileRegion {
+    let budget = 200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000;
+    TileRegion { origin: (0, 0), w: m.fabric_w, h: m.fabric_h, budget }
 }
 
 /// Builds every core-local phase task on one tile — the four dots, the
@@ -326,108 +389,14 @@ pub(crate) fn build_scalar_tasks(core: &mut Core, vecs: &TileVecs, z: u32) -> Sc
         };
 
         // --- Scalar coefficient phases.
-        let post_r0s = core.add_task(Task::new(
-            "post_r0s",
-            vec![
-                Stmt::RegArith { op: RegOp::Mov, dst: regs::R0S, a: regs::AR_OUT, b: regs::AR_OUT },
-                Stmt::RegArith { op: RegOp::Add, dst: regs::R0S, a: regs::R0S, b: regs::EPS },
-                Stmt::RegArith { op: RegOp::Div, dst: regs::ALPHA, a: regs::RHO, b: regs::R0S },
-                Stmt::RegArith {
-                    op: RegOp::Neg,
-                    dst: regs::NEG_ALPHA,
-                    a: regs::ALPHA,
-                    b: regs::ALPHA,
-                },
-            ],
-        ));
-        let post_qy = core.add_task(Task::new(
-            "post_qy",
-            vec![Stmt::RegArith {
-                op: RegOp::Mov,
-                dst: regs::QY,
-                a: regs::AR_OUT,
-                b: regs::AR_OUT,
-            }],
-        ));
-        let post_yy = core.add_task(Task::new(
-            "post_yy",
-            vec![
-                Stmt::RegArith { op: RegOp::Mov, dst: regs::YY, a: regs::AR_OUT, b: regs::AR_OUT },
-                Stmt::RegArith { op: RegOp::Add, dst: regs::YY, a: regs::YY, b: regs::EPS },
-                Stmt::RegArith { op: RegOp::Div, dst: regs::OMEGA, a: regs::QY, b: regs::YY },
-                Stmt::RegArith {
-                    op: RegOp::Neg,
-                    dst: regs::NEG_OMEGA,
-                    a: regs::OMEGA,
-                    b: regs::OMEGA,
-                },
-            ],
-        ));
-        let post_rho = core.add_task(Task::new(
-            "post_rho",
-            vec![
-                Stmt::RegArith {
-                    op: RegOp::Mov,
-                    dst: regs::RHO_NEXT,
-                    a: regs::AR_OUT,
-                    b: regs::AR_OUT,
-                },
-                Stmt::RegArith { op: RegOp::Add, dst: regs::TMP, a: regs::OMEGA, b: regs::EPS },
-                Stmt::RegArith { op: RegOp::Div, dst: regs::TMP, a: regs::ALPHA, b: regs::TMP },
-                Stmt::RegArith { op: RegOp::Add, dst: regs::BETA, a: regs::RHO, b: regs::EPS },
-                Stmt::RegArith {
-                    op: RegOp::Div,
-                    dst: regs::BETA,
-                    a: regs::RHO_NEXT,
-                    b: regs::BETA,
-                },
-                Stmt::RegArith { op: RegOp::Mul, dst: regs::BETA, a: regs::TMP, b: regs::BETA },
-                Stmt::RegArith {
-                    op: RegOp::Mov,
-                    dst: regs::RHO,
-                    a: regs::RHO_NEXT,
-                    b: regs::RHO_NEXT,
-                },
-            ],
-        ));
-        let post_omega_fused = core.add_task(Task::new(
-            "post_omega_fused",
-            vec![
-                Stmt::RegArith { op: RegOp::Mov, dst: regs::QY, a: regs::AR_OUT, b: regs::AR_OUT },
-                Stmt::RegArith {
-                    op: RegOp::Mov,
-                    dst: regs::YY,
-                    a: regs::AR_OUT2,
-                    b: regs::AR_OUT2,
-                },
-                Stmt::RegArith { op: RegOp::Add, dst: regs::YY, a: regs::YY, b: regs::EPS },
-                Stmt::RegArith { op: RegOp::Div, dst: regs::OMEGA, a: regs::QY, b: regs::YY },
-                Stmt::RegArith {
-                    op: RegOp::Neg,
-                    dst: regs::NEG_OMEGA,
-                    a: regs::OMEGA,
-                    b: regs::OMEGA,
-                },
-            ],
-        ));
-        let init_rho = core.add_task(Task::new(
-            "init_rho",
-            vec![Stmt::RegArith {
-                op: RegOp::Mov,
-                dst: regs::RHO,
-                a: regs::AR_OUT,
-                b: regs::AR_OUT,
-            }],
-        ));
-        let post_rr = core.add_task(Task::new(
-            "post_rr",
-            vec![Stmt::RegArith {
-                op: RegOp::Mov,
-                dst: regs::RR,
-                a: regs::AR_OUT,
-                b: regs::AR_OUT,
-            }],
-        ));
+        let post_r0s = core.add_task(Task::new("post_r0s", coeff::post_r0s()));
+        let post_qy = core.add_task(Task::new("post_qy", coeff::post_qy()));
+        let post_yy = core.add_task(Task::new("post_yy", coeff::post_yy()));
+        let post_rho = core.add_task(Task::new("post_rho", coeff::post_rho()));
+        let post_omega_fused =
+            core.add_task(Task::new("post_omega_fused", coeff::post_omega_fused()));
+        let init_rho = core.add_task(Task::new("init_rho", coeff::init_rho()));
+        let post_rr = core.add_task(Task::new("post_rr", coeff::post_rr()));
 
         // --- Vector update phases.
         let upd_q = {
@@ -532,35 +501,15 @@ impl WaferBicgstab {
         y * self.mapping.fabric_w + x
     }
 
-    /// Activates one phase task on every tile, runs to quiescence under the
-    /// fabric stall watchdog, and returns the cycles it took — or the
-    /// watchdog's [`StallReport`] instead of panicking, so the recovery
-    /// layer can roll back. The run is bracketed as trace phase `name`
-    /// (inert unless the fabric's tracing is armed).
-    fn try_phase(
-        &self,
-        exec: &mut impl WaferExec,
-        name: &'static str,
-        pick: impl Fn(&TileTasks) -> TaskId,
-    ) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let t = pick(&self.tiles[self.idx(x, y)].1);
-                exec.activate(x, y, t);
-            }
-        }
-        let budget = 200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000;
-        exec.run_phase(name, budget, recovery::STALL_WINDOW)
-    }
-
     /// Loads the right-hand side and zeroes the iterate: `r = r̂₀ = p = b`,
     /// `x = 0`, then computes ρ₀ = (r̂₀, r) on the wafer.
     pub fn load_rhs(&self, fabric: &mut impl WaferExec, b: &[F16]) {
         self.try_load_rhs(fabric, b).unwrap_or_else(|e| panic!("bicgstab load stalled: {e}"))
     }
 
-    /// Fallible [`WaferBicgstab::load_rhs`] (see [`WaferBicgstab::try_phase`]).
+    /// Fallible [`WaferBicgstab::load_rhs`]: a stall comes back as the
+    /// watchdog's [`StallReport`] instead of a panic, so the recovery layer
+    /// can roll back.
     pub fn try_load_rhs(
         &self,
         fabric: &mut impl WaferExec,
@@ -583,45 +532,11 @@ impl WaferBicgstab {
             }
         }
         // ρ₀ = (r̂₀, r).
-        self.try_phase(fabric, "dot", |t| t.scalar.dot_rho)?;
-        self.try_allreduce_phase(fabric)?;
-        self.try_phase(fabric, "scalar", |t| t.scalar.init_rho)?;
+        let (r, tiles) = (self.region, &self.tiles);
+        r.phase(fabric, "dot", tiles, |t| t.1.scalar.dot_rho)?;
+        r.allreduce(fabric, |x, y| self.allreduce.task(x, y))?;
+        r.phase(fabric, "scalar", tiles, |t| t.1.scalar.init_rho)?;
         Ok(())
-    }
-
-    fn try_allreduce_phase(&self, fabric: &mut impl WaferExec) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                fabric.activate(x, y, self.allreduce.task(x, y));
-            }
-        }
-        fabric.run_phase(
-            "allreduce",
-            100 * (m.fabric_w + m.fabric_h) as u64 + 50_000,
-            recovery::STALL_WINDOW,
-        )
-    }
-
-    /// Fused mode: one combined task per tile drives both reduction
-    /// networks concurrently (all upstream work before either blocking
-    /// broadcast receive).
-    fn try_allreduce_phase_both(
-        &self,
-        fabric: &mut impl WaferExec,
-    ) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let t = self.tiles[self.idx(x, y)].1.fused_allreduce.expect("fused mode");
-                fabric.activate(x, y, t);
-            }
-        }
-        fabric.run_phase(
-            "allreduce",
-            100 * (m.fabric_w + m.fabric_h) as u64 + 50_000,
-            recovery::STALL_WINDOW,
-        )
     }
 
     /// Runs one BiCGStab iteration, returning its cycle breakdown.
@@ -629,43 +544,52 @@ impl WaferBicgstab {
         self.try_iterate(fabric).unwrap_or_else(|e| panic!("bicgstab iteration stalled: {e}"))
     }
 
-    /// Fallible [`WaferBicgstab::iterate`] (see [`WaferBicgstab::try_phase`]).
-    pub fn try_iterate(&self, fabric: &mut impl WaferExec) -> Result<IterCycles, Box<StallReport>> {
+    /// Fallible [`WaferBicgstab::iterate`].
+    pub fn try_iterate<E: WaferExec>(
+        &self,
+        fabric: &mut E,
+    ) -> Result<IterCycles, Box<StallReport>> {
+        let (r, tiles) = (self.region, &self.tiles);
+        let reduce = |f: &mut E| r.allreduce(f, |x, y| self.allreduce.task(x, y));
         let mut c = IterCycles::default();
         // s := A p
-        c.spmv += self.try_phase(fabric, "spmv", |t| t.spmv_ps.start)?;
+        c.spmv += r.phase(fabric, "spmv", tiles, |t| t.1.spmv_ps.start)?;
         // α := ρ / (r̂₀, s)
-        c.dot += self.try_phase(fabric, "dot", |t| t.scalar.dot_r0s)?;
-        c.allreduce += self.try_allreduce_phase(fabric)?;
-        c.scalar += self.try_phase(fabric, "scalar", |t| t.scalar.post_r0s)?;
+        c.dot += r.phase(fabric, "dot", tiles, |t| t.1.scalar.dot_r0s)?;
+        c.allreduce += reduce(fabric)?;
+        c.scalar += r.phase(fabric, "scalar", tiles, |t| t.1.scalar.post_r0s)?;
         // q := r − α s
-        c.update += self.try_phase(fabric, "update", |t| t.scalar.upd_q)?;
+        c.update += r.phase(fabric, "update", tiles, |t| t.1.scalar.upd_q)?;
         // y := A q
-        c.spmv += self.try_phase(fabric, "spmv", |t| t.spmv_qy.start)?;
+        c.spmv += r.phase(fabric, "spmv", tiles, |t| t.1.spmv_qy.start)?;
         // ω := (q,y) / (y,y)
         if self.fused {
-            c.dot += self.try_phase(fabric, "dot", |t| t.scalar.dot_qy_yy)?;
-            c.allreduce += self.try_allreduce_phase_both(fabric)?;
-            c.scalar += self.try_phase(fabric, "scalar", |t| t.scalar.post_omega_fused)?;
+            // One combined task per tile drives both reduction networks
+            // concurrently (all upstream work before either blocking
+            // broadcast receive).
+            let both = |x, y| tiles[self.idx(x, y)].1.fused_allreduce.expect("fused mode");
+            c.dot += r.phase(fabric, "dot", tiles, |t| t.1.scalar.dot_qy_yy)?;
+            c.allreduce += r.allreduce(fabric, both)?;
+            c.scalar += r.phase(fabric, "scalar", tiles, |t| t.1.scalar.post_omega_fused)?;
         } else {
-            c.dot += self.try_phase(fabric, "dot", |t| t.scalar.dot_qy)?;
-            c.allreduce += self.try_allreduce_phase(fabric)?;
-            c.scalar += self.try_phase(fabric, "scalar", |t| t.scalar.post_qy)?;
-            c.dot += self.try_phase(fabric, "dot", |t| t.scalar.dot_yy)?;
-            c.allreduce += self.try_allreduce_phase(fabric)?;
-            c.scalar += self.try_phase(fabric, "scalar", |t| t.scalar.post_yy)?;
+            c.dot += r.phase(fabric, "dot", tiles, |t| t.1.scalar.dot_qy)?;
+            c.allreduce += reduce(fabric)?;
+            c.scalar += r.phase(fabric, "scalar", tiles, |t| t.1.scalar.post_qy)?;
+            c.dot += r.phase(fabric, "dot", tiles, |t| t.1.scalar.dot_yy)?;
+            c.allreduce += reduce(fabric)?;
+            c.scalar += r.phase(fabric, "scalar", tiles, |t| t.1.scalar.post_yy)?;
         }
         // x := x + α p + ω q
-        c.update += self.try_phase(fabric, "update", |t| t.scalar.upd_x)?;
+        c.update += r.phase(fabric, "update", tiles, |t| t.1.scalar.upd_x)?;
         // r := q − ω y
-        c.update += self.try_phase(fabric, "update", |t| t.scalar.upd_r)?;
+        c.update += r.phase(fabric, "update", tiles, |t| t.1.scalar.upd_r)?;
         // β and ρ roll-over
-        c.dot += self.try_phase(fabric, "dot", |t| t.scalar.dot_rho)?;
-        c.allreduce += self.try_allreduce_phase(fabric)?;
-        c.scalar += self.try_phase(fabric, "scalar", |t| t.scalar.post_rho)?;
+        c.dot += r.phase(fabric, "dot", tiles, |t| t.1.scalar.dot_rho)?;
+        c.allreduce += reduce(fabric)?;
+        c.scalar += r.phase(fabric, "scalar", tiles, |t| t.1.scalar.post_rho)?;
         // p := r + β (p − ω s)
-        c.update += self.try_phase(fabric, "update", |t| t.scalar.upd_p1)?;
-        c.update += self.try_phase(fabric, "update", |t| t.scalar.upd_p2)?;
+        c.update += r.phase(fabric, "update", tiles, |t| t.1.scalar.upd_p1)?;
+        c.update += r.phase(fabric, "update", tiles, |t| t.1.scalar.upd_p2)?;
         Ok(c)
     }
 
@@ -678,9 +602,10 @@ impl WaferBicgstab {
 
     /// Fallible [`WaferBicgstab::residual_norm`].
     pub fn try_residual_norm(&self, fabric: &mut impl WaferExec) -> Result<f32, Box<StallReport>> {
-        self.try_phase(fabric, "dot", |t| t.scalar.dot_rr)?;
-        self.try_allreduce_phase(fabric)?;
-        self.try_phase(fabric, "scalar", |t| t.scalar.post_rr)?;
+        let (r, tiles) = (self.region, &self.tiles);
+        r.phase(fabric, "dot", tiles, |t| t.1.scalar.dot_rr)?;
+        r.allreduce(fabric, |x, y| self.allreduce.task(x, y))?;
+        r.phase(fabric, "scalar", tiles, |t| t.1.scalar.post_rr)?;
         Ok(fabric.reg(0, 0, regs::RR).max(0.0).sqrt())
     }
 
@@ -699,97 +624,30 @@ impl WaferBicgstab {
         out
     }
 
-    /// Loads `b`, runs `iters` iterations, and returns the final iterate
-    /// plus per-iteration statistics (cycles and on-wafer residuals).
-    pub fn solve(
-        &self,
-        fabric: &mut impl WaferExec,
-        b: &[F16],
-        iters: usize,
-    ) -> (Vec<F16>, SolveStats) {
-        let norm_b = {
-            let s: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum();
-            s.sqrt()
-        };
-        if norm_b == 0.0 {
-            // A zero right-hand side has the zero solution; iterating would
-            // divide 0/0 in the α computation (the hardware tasks carry no
-            // conditionals — the host decides whether to launch, as it
-            // decides iteration counts).
-            return (vec![F16::ZERO; b.len()], SolveStats::default());
-        }
-        self.load_rhs(fabric, b);
-        let mut stats = SolveStats::default();
-        let tripwire = ResidualTripwire::default();
-        for _ in 0..iters {
-            let c = self.iterate(fabric);
-            let rn = self.residual_norm(fabric) as f64;
-            stats.iterations.push(c);
-            let rel = rn / norm_b;
-            stats.residuals.push(rel);
-            // Host-side convergence monitor (the host also chooses the
-            // iteration budget); thresholds documented on ResidualTripwire.
-            if tripwire.check(rel).stops() {
-                break;
-            }
-        }
-        (self.read_x(fabric), stats)
-    }
-
     /// SRAM address of tile `(x, y)`'s slice of the iterate `x` (fault
     /// targeting and inspection).
     pub fn x_addr(&self, x: usize, y: usize) -> u32 {
         self.tiles[self.idx(x, y)].0.x
     }
+}
 
-    /// Like [`WaferBicgstab::solve`], but runs under the checkpoint/rollback
-    /// recovery engine so the solve survives injected faults: fabric stalls
-    /// are caught by the watchdog, residual anomalies by the tripwire, and
-    /// `Converged` claims are verified against `a`'s f64 true residual
-    /// before being believed (a corrupted iterate is invisible to the
-    /// recursive residual). Returns the iterate, the committed-iteration
-    /// statistics, and the full [`RecoveryLog`].
-    pub fn solve_with_recovery(
-        &self,
-        fabric: &mut Fabric,
-        a: &DiaMatrix<F16>,
-        b: &[F16],
-        iters: usize,
-        policy: &RecoveryPolicy,
-    ) -> (Vec<F16>, SolveStats, RecoveryLog) {
-        let norm_b = {
-            let s: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum();
-            s.sqrt()
-        };
-        let mut stats = SolveStats::default();
-        if norm_b == 0.0 {
-            let log = RecoveryLog {
-                outcome: crate::recovery::RecoveryOutcome::Converged,
-                ..RecoveryLog::default()
-            };
-            return (vec![F16::ZERO; b.len()], stats, log);
-        }
-        let log = run_with_recovery(
-            fabric,
-            iters,
-            policy,
-            |f| self.try_load_rhs(f, b),
-            |f, i| {
-                // Re-entered with a rolled-back index after recovery: drop
-                // the records of the discarded iterations.
-                stats.iterations.truncate(i);
-                stats.residuals.truncate(i);
-                let c = self.try_iterate(f)?;
-                let rel = self.try_residual_norm(f)? as f64 / norm_b;
-                stats.iterations.push(c);
-                stats.residuals.push(rel);
-                Ok(rel)
-            },
-            |f| recovery::true_rel_residual(a, &self.read_x(f), b),
-        );
-        stats.iterations.truncate(log.iterations);
-        stats.residuals.truncate(log.iterations);
-        (self.read_x(fabric), stats, log)
+impl<E: WaferExec> WaferSolver<E> for WaferBicgstab {
+    type Cycles = IterCycles;
+
+    fn load(&self, exec: &mut E, b: &[F16]) -> Result<(), Box<StallReport>> {
+        self.try_load_rhs(exec, b)
+    }
+
+    fn step(&self, exec: &mut E, _: usize) -> Result<IterCycles, Box<StallReport>> {
+        self.try_iterate(exec)
+    }
+
+    fn norm_r(&self, exec: &mut E) -> Result<f64, Box<StallReport>> {
+        Ok(self.try_residual_norm(exec)? as f64)
+    }
+
+    fn fetch_x(&self, exec: &E) -> Vec<F16> {
+        self.read_x(exec)
     }
 }
 

@@ -11,10 +11,10 @@
 //!   the (simulated) fabric.
 
 use crate::allreduce::{colors as ar_colors, AllReduce};
+use crate::bicgstab::{spmv_region, IterCycles};
+use crate::exec::{TileRegion, WaferExec};
 use crate::kernels::dot_stmts;
-use crate::recovery::{
-    self, run_with_recovery, RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire,
-};
+use crate::recovery::WaferSolver;
 use crate::routing::configure_spmv_routes;
 use crate::spmv3d::{build_spmv_tile, load_coefficients, tile_coefficients, SpmvLayout, SpmvTasks};
 use stencil::decomp::Mapping3D;
@@ -58,36 +58,14 @@ pub enum CgVariant {
     SingleReduction,
 }
 
-/// Cycle breakdown of one CG iteration.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct CgIterCycles {
-    /// SpMV cycles.
-    pub spmv: u64,
-    /// Local dot cycles.
-    pub dot: u64,
-    /// Reduction cycles.
-    pub allreduce: u64,
-    /// Vector update cycles.
-    pub update: u64,
-    /// Scalar arithmetic cycles.
-    pub scalar: u64,
-}
-
-impl CgIterCycles {
-    /// Total cycles.
-    pub fn total(&self) -> u64 {
-        self.spmv + self.dot + self.allreduce + self.update + self.scalar
-    }
-}
-
+/// Per-tile vector addresses. The padded SpMV source holds `p` in
+/// Standard mode and `r` in SingleReduction mode; its live part is aliased
+/// below.
 #[derive(Clone, Debug)]
 struct CgTileVecs {
-    /// Padded SpMV source: `p` for Standard, `r` for SingleReduction.
-    #[allow(dead_code)] // documents the layout; live parts aliased below
-    src_pad: u32,
     /// SpMV output: `q = A p` (Standard) or `s = A r` (SingleReduction).
     av: u32,
-    /// Residual (live part of `src_pad` in SingleReduction mode).
+    /// Residual (live part of the padded source in SingleReduction mode).
     r: u32,
     /// Search direction (padded live part in Standard mode).
     p: u32,
@@ -117,11 +95,10 @@ struct CgTileTasks {
 /// The wafer-resident CG solver.
 pub struct WaferCg {
     mapping: Mapping3D,
+    region: TileRegion,
     variant: CgVariant,
     tiles: Vec<(CgTileVecs, CgTileTasks)>,
     allreduce: AllReduce,
-    #[allow(dead_code)]
-    allreduce2: Option<AllReduce>,
 }
 
 impl WaferCg {
@@ -181,7 +158,7 @@ impl WaferCg {
                         (src_pad + 2, p, q)
                     }
                 };
-                let vecs = CgTileVecs { src_pad, av, r, p, q, x: x_vec };
+                let vecs = CgTileVecs { av, r, p, q, x: x_vec };
 
                 let coeffs = tile_coefficients(a, x, y);
                 let layout = SpmvLayout { z, diag, vpad: src_pad, u: av };
@@ -495,7 +472,7 @@ impl WaferCg {
             }
         }
         crate::debug_lint(fabric);
-        WaferCg { mapping, variant, tiles, allreduce, allreduce2 }
+        WaferCg { mapping, region: spmv_region(mapping), variant, tiles, allreduce }
     }
 
     /// Which variant this solver runs.
@@ -506,66 +483,13 @@ impl WaferCg {
     fn idx(&self, x: usize, y: usize) -> usize {
         y * self.mapping.fabric_w + x
     }
+}
 
-    /// Phase runner under the stall watchdog; a wedged fabric surfaces as a
-    /// [`StallReport`] the recovery layer can act on. The run is bracketed
-    /// as trace phase `name` (inert unless tracing is armed).
-    fn try_phase(
-        &self,
-        fabric: &mut Fabric,
-        name: &'static str,
-        pick: impl Fn(&CgTileTasks) -> TaskId,
-    ) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let t = pick(&self.tiles[self.idx(x, y)].1);
-                fabric.tile_mut(x, y).core.activate(t);
-            }
-        }
-        let budget = 200 * m.z as u64 + 200 * (m.fabric_w + m.fabric_h) as u64 + 50_000;
-        fabric.phase_begin(name);
-        let r = fabric.run_watched(budget, recovery::STALL_WINDOW);
-        fabric.phase_end();
-        r
-    }
-
-    fn try_reduce(&self, fabric: &mut Fabric) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                fabric.tile_mut(x, y).core.activate(self.allreduce.task(x, y));
-            }
-        }
-        fabric.phase_begin("allreduce");
-        let r = fabric
-            .run_watched(100 * (m.fabric_w + m.fabric_h) as u64 + 50_000, recovery::STALL_WINDOW);
-        fabric.phase_end();
-        r
-    }
-
-    fn try_reduce_fused(&self, fabric: &mut Fabric) -> Result<u64, Box<StallReport>> {
-        let m = self.mapping;
-        for y in 0..m.fabric_h {
-            for x in 0..m.fabric_w {
-                let t = self.tiles[self.idx(x, y)].1.fused_allreduce.expect("fused nets");
-                fabric.tile_mut(x, y).core.activate(t);
-            }
-        }
-        fabric.phase_begin("allreduce");
-        let r = fabric
-            .run_watched(100 * (m.fabric_w + m.fabric_h) as u64 + 50_000, recovery::STALL_WINDOW);
-        fabric.phase_end();
-        r
-    }
+impl<E: WaferExec> WaferSolver<E> for WaferCg {
+    type Cycles = IterCycles;
 
     /// Loads `b` (x = 0, r = p = b) and seeds the scalar state.
-    pub fn load_rhs(&self, fabric: &mut Fabric, b: &[F16]) {
-        self.try_load_rhs(fabric, b).unwrap_or_else(|e| panic!("CG load stalled: {e}"))
-    }
-
-    /// Fallible [`WaferCg::load_rhs`] (see [`WaferCg::try_iterate`]).
-    pub fn try_load_rhs(&self, fabric: &mut Fabric, b: &[F16]) -> Result<(), Box<StallReport>> {
+    fn load(&self, exec: &mut E, b: &[F16]) -> Result<(), Box<StallReport>> {
         let m = self.mapping;
         assert_eq!(b.len(), m.cores() * m.z, "rhs length mismatch");
         for y in 0..m.fabric_h {
@@ -573,177 +497,106 @@ impl WaferCg {
                 let (vecs, _) = &self.tiles[self.idx(x, y)];
                 let rows = m.core_rows(x, y);
                 let local = &b[rows];
-                let tile = fabric.tile_mut(x, y);
-                tile.mem.store_f16_slice(vecs.r, local);
-                tile.mem.store_f16_slice(vecs.p, local);
-                tile.mem.store_f16_slice(vecs.x, &vec![F16::ZERO; m.z]);
-                tile.core.regs[regs::EPS] = 1e-30;
+                exec.store_f16(x, y, vecs.r, local);
+                exec.store_f16(x, y, vecs.p, local);
+                exec.store_f16(x, y, vecs.x, &vec![F16::ZERO; m.z]);
+                exec.set_reg(x, y, regs::EPS, 1e-30);
                 if self.variant == CgVariant::SingleReduction {
-                    tile.mem.store_f16_slice(vecs.q, &vec![F16::ZERO; m.z]);
+                    exec.store_f16(x, y, vecs.q, &vec![F16::ZERO; m.z]);
                 }
             }
         }
         match self.variant {
             CgVariant::Standard => {
                 // Seed γ = (r, r).
-                self.try_phase(fabric, "dot", |t| t.dot_rr)?;
-                self.try_reduce(fabric)?;
-                let m = self.mapping;
+                self.region.phase(exec, "dot", &self.tiles, |t| t.1.dot_rr)?;
+                self.region.allreduce(exec, |x, y| self.allreduce.task(x, y))?;
                 for y in 0..m.fabric_h {
                     for x in 0..m.fabric_w {
-                        let core = &mut fabric.tile_mut(x, y).core;
-                        core.regs[regs::GAMMA] = core.regs[regs::AR_OUT];
+                        let gamma = exec.reg(x, y, regs::AR_OUT);
+                        exec.set_reg(x, y, regs::GAMMA, gamma);
                     }
                 }
             }
             CgVariant::SingleReduction => {
-                // First iteration runs with init_gamma; nothing to seed.
+                // The first iteration runs init_gamma; nothing to seed.
             }
         }
         Ok(())
     }
 
-    /// Runs one iteration. `first` must be `true` for the first iteration
-    /// of a [`CgVariant::SingleReduction`] solve (it selects the β = 0
-    /// coefficient path).
-    pub fn iterate(&self, fabric: &mut Fabric, first: bool) -> CgIterCycles {
-        self.try_iterate(fabric, first).unwrap_or_else(|e| panic!("CG iteration stalled: {e}"))
-    }
-
-    /// Fallible [`WaferCg::iterate`]: runs under the fabric stall watchdog
-    /// and returns the [`StallReport`] instead of panicking.
-    pub fn try_iterate(
-        &self,
-        fabric: &mut Fabric,
-        first: bool,
-    ) -> Result<CgIterCycles, Box<StallReport>> {
-        let mut c = CgIterCycles::default();
+    /// Runs iteration `i`; the first iteration of a
+    /// [`CgVariant::SingleReduction`] solve takes the β = 0 coefficient
+    /// path.
+    fn step(&self, exec: &mut E, i: usize) -> Result<IterCycles, Box<StallReport>> {
+        let (r, tiles) = (self.region, &self.tiles);
+        let mut c = IterCycles::default();
         match self.variant {
             CgVariant::Standard => {
+                let reduce = |e: &mut E| r.allreduce(e, |x, y| self.allreduce.task(x, y));
                 // q = A p  (p is the padded SpMV source).
-                c.spmv += self.try_phase(fabric, "spmv", |t| t.spmv.start)?;
+                c.spmv += r.phase(exec, "spmv", tiles, |t| t.1.spmv.start)?;
                 // (p, q) → α.
-                c.dot += self.try_phase(fabric, "dot", |t| t.dot_pq)?;
-                c.allreduce += self.try_reduce(fabric)?;
-                c.scalar += self.try_phase(fabric, "scalar", |t| t.post_alpha_std)?;
+                c.dot += r.phase(exec, "dot", tiles, |t| t.1.dot_pq)?;
+                c.allreduce += reduce(exec)?;
+                c.scalar += r.phase(exec, "scalar", tiles, |t| t.1.post_alpha_std)?;
                 // x += α p; r −= α q.
-                c.update += self.try_phase(fabric, "update", |t| t.upd_xr_std)?;
+                c.update += r.phase(exec, "update", tiles, |t| t.1.upd_xr_std)?;
                 // (r, r) → β, roll γ.
-                c.dot += self.try_phase(fabric, "dot", |t| t.dot_rr)?;
-                c.allreduce += self.try_reduce(fabric)?;
-                c.scalar += self.try_phase(fabric, "scalar", |t| t.post_beta_std)?;
+                c.dot += r.phase(exec, "dot", tiles, |t| t.1.dot_rr)?;
+                c.allreduce += reduce(exec)?;
+                c.scalar += r.phase(exec, "scalar", tiles, |t| t.1.post_beta_std)?;
                 // p = r + β p.
-                c.update += self.try_phase(fabric, "update", |t| t.upd_p_std)?;
+                c.update += r.phase(exec, "update", tiles, |t| t.1.upd_p_std)?;
             }
             CgVariant::SingleReduction => {
-                // s = A r  (r is the padded SpMV source).
-                c.spmv += self.try_phase(fabric, "spmv", |t| t.spmv.start)?;
-                // γ = (r, r), δ = (r, s) — one dual-network round.
-                c.dot += self.try_phase(fabric, "dot", |t| t.dot_gamma_delta)?;
-                c.allreduce += self.try_reduce_fused(fabric)?;
-                c.scalar += if first {
-                    self.try_phase(fabric, "scalar", |t| t.init_gamma)?
-                } else {
-                    self.try_phase(fabric, "scalar", |t| t.post_fused)?
+                let both = |x, y| tiles[self.idx(x, y)].1.fused_allreduce.expect("fused nets");
+                let post = |t: &(CgTileVecs, CgTileTasks)| {
+                    if i == 0 {
+                        t.1.init_gamma
+                    } else {
+                        t.1.post_fused
+                    }
                 };
+                // s = A r  (r is the padded SpMV source).
+                c.spmv += r.phase(exec, "spmv", tiles, |t| t.1.spmv.start)?;
+                // γ = (r, r), δ = (r, s) — one dual-network round.
+                c.dot += r.phase(exec, "dot", tiles, |t| t.1.dot_gamma_delta)?;
+                c.allreduce += r.allreduce(exec, both)?;
+                c.scalar += r.phase(exec, "scalar", tiles, post)?;
                 // p, q, x, r recurrences.
-                c.update += self.try_phase(fabric, "update", |t| t.upd_all_cg2)?;
+                c.update += r.phase(exec, "update", tiles, |t| t.1.upd_all_cg2)?;
             }
         }
         Ok(c)
     }
 
-    /// Residual norm ‖r‖ read back from tile memories (host-side check).
-    pub fn residual_norm(&self, fabric: &Fabric) -> f64 {
+    /// ‖r‖ read back from tile memories (host-side check).
+    fn norm_r(&self, exec: &mut E) -> Result<f64, Box<StallReport>> {
         let m = self.mapping;
         let mut sum = 0.0f64;
         for y in 0..m.fabric_h {
             for x in 0..m.fabric_w {
                 let (vecs, _) = &self.tiles[self.idx(x, y)];
-                for v in fabric.tile(x, y).mem.load_f16_slice(vecs.r, m.z) {
+                for v in exec.load_f16(x, y, vecs.r, m.z) {
                     sum += v.to_f64() * v.to_f64();
                 }
             }
         }
-        sum.sqrt()
+        Ok(sum.sqrt())
     }
 
     /// Reads the iterate back in global mesh order.
-    pub fn read_x(&self, fabric: &Fabric) -> Vec<F16> {
+    fn fetch_x(&self, exec: &E) -> Vec<F16> {
         let m = self.mapping;
         let mut out = vec![F16::ZERO; m.cores() * m.z];
         for y in 0..m.fabric_h {
             for x in 0..m.fabric_w {
                 let (vecs, _) = &self.tiles[self.idx(x, y)];
-                let rows = m.core_rows(x, y);
-                out[rows].copy_from_slice(&fabric.tile(x, y).mem.load_f16_slice(vecs.x, m.z));
+                out[m.core_rows(x, y)].copy_from_slice(&exec.load_f16(x, y, vecs.x, m.z));
             }
         }
         out
-    }
-
-    /// Loads `b`, runs `iters` iterations, returns the iterate, per-iteration
-    /// cycles, and relative residuals.
-    pub fn solve(
-        &self,
-        fabric: &mut Fabric,
-        b: &[F16],
-        iters: usize,
-    ) -> (Vec<F16>, Vec<CgIterCycles>, Vec<f64>) {
-        let norm_b: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt();
-        if norm_b == 0.0 {
-            // Zero RHS: zero solution; avoid 0/0 in the coefficient tasks.
-            return (vec![F16::ZERO; b.len()], Vec::new(), Vec::new());
-        }
-        self.load_rhs(fabric, b);
-        let mut cycles = Vec::with_capacity(iters);
-        let mut residuals = Vec::with_capacity(iters);
-        let tripwire = ResidualTripwire::default();
-        for i in 0..iters {
-            cycles.push(self.iterate(fabric, i == 0));
-            let rel = self.residual_norm(fabric) / norm_b;
-            residuals.push(rel);
-            if tripwire.check(rel).stops() {
-                break; // see ResidualTripwire for the thresholds
-            }
-        }
-        (self.read_x(fabric), cycles, residuals)
-    }
-
-    /// Like [`WaferCg::solve`], but under the checkpoint/rollback recovery
-    /// engine (see [`crate::recovery`]): stalls are caught by the watchdog,
-    /// residual anomalies by the tripwire, and convergence claims are
-    /// verified against `a`'s f64 true residual.
-    pub fn solve_with_recovery(
-        &self,
-        fabric: &mut Fabric,
-        a: &DiaMatrix<F16>,
-        b: &[F16],
-        iters: usize,
-        policy: &RecoveryPolicy,
-    ) -> (Vec<F16>, Vec<f64>, RecoveryLog) {
-        let norm_b: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt();
-        let mut residuals = Vec::new();
-        if norm_b == 0.0 {
-            let log = RecoveryLog { outcome: RecoveryOutcome::Converged, ..RecoveryLog::default() };
-            return (vec![F16::ZERO; b.len()], residuals, log);
-        }
-        let log = run_with_recovery(
-            fabric,
-            iters,
-            policy,
-            |f| self.try_load_rhs(f, b),
-            |f, i| {
-                residuals.truncate(i);
-                self.try_iterate(f, i == 0)?;
-                let rel = self.residual_norm(f) / norm_b;
-                residuals.push(rel);
-                Ok(rel)
-            },
-            |f| recovery::true_rel_residual(a, &self.read_x(f), b),
-        );
-        residuals.truncate(log.iterations);
-        (self.read_x(fabric), residuals, log)
     }
 }
 
@@ -771,8 +624,8 @@ mod tests {
         let (a, b, exact) = spd_system(mesh);
         let mut fabric = Fabric::new(4, 4);
         let cg = WaferCg::build(&mut fabric, &a, CgVariant::Standard);
-        let (x, _, residuals) = cg.solve(&mut fabric, &b, 20);
-        let last = *residuals.last().unwrap();
+        let (x, stats) = cg.solve(&mut fabric, &b, 20);
+        let last = *stats.residuals.last().unwrap();
         assert!(last < 0.02, "residual {last}");
         let err = x.iter().zip(&exact).map(|(a, b)| (a.to_f64() - b).abs()).fold(0.0_f64, f64::max);
         assert!(err < 0.05, "max err {err}");
@@ -785,22 +638,22 @@ mod tests {
 
         let mut f1 = Fabric::new(4, 4);
         let std_cg = WaferCg::build(&mut f1, &a, CgVariant::Standard);
-        let (_, c1, r1) = std_cg.solve(&mut f1, &b, 10);
+        let (_, s1) = std_cg.solve(&mut f1, &b, 10);
 
         let mut f2 = Fabric::new(4, 4);
         let cg2 = WaferCg::build(&mut f2, &a, CgVariant::SingleReduction);
         assert_eq!(cg2.variant(), CgVariant::SingleReduction);
-        let (_, c2, r2) = cg2.solve(&mut f2, &b, 10);
+        let (_, s2) = cg2.solve(&mut f2, &b, 10);
 
         // Same math, same trajectory (to fp16/f32 rounding noise).
-        for (a, b) in r1.iter().zip(&r2).take(6) {
+        for (a, b) in s1.residuals.iter().zip(&s2.residuals).take(6) {
             let ratio = (a / b).max(b / a);
             assert!(ratio < 1.5, "trajectories: {a} vs {b}");
         }
         // Half the blocking rounds: the single fused round costs less than
         // the two standard rounds.
-        let ar1: u64 = c1.iter().map(|c| c.allreduce).sum();
-        let ar2: u64 = c2.iter().map(|c| c.allreduce).sum();
+        let ar1: u64 = s1.iterations.iter().map(|c| c.allreduce).sum();
+        let ar2: u64 = s2.iterations.iter().map(|c| c.allreduce).sum();
         assert!(
             (ar2 as f64) < 0.8 * ar1 as f64,
             "single-reduction must cut reduction cycles: {ar1} -> {ar2}"
@@ -813,8 +666,8 @@ mod tests {
         let (a, b, _) = spd_system(mesh);
         let mut fabric = Fabric::new(3, 3);
         let cg = WaferCg::build(&mut fabric, &a, CgVariant::Standard);
-        cg.load_rhs(&mut fabric, &b);
-        let c = cg.iterate(&mut fabric, true);
+        cg.load(&mut fabric, &b).unwrap();
+        let c = cg.step(&mut fabric, 0).unwrap();
         assert!(c.spmv > 0 && c.dot > 0 && c.allreduce > 0 && c.update > 0);
         // CG has one SpMV per iteration: roughly half BiCGStab's SpMV time.
         assert!(c.spmv < 2 * 4 * 32, "one SpMV only: {c:?}");

@@ -11,7 +11,7 @@
 //! split execution is bit-for-bit identical to the fused fabric, which is
 //! the cross-validation backbone of the multi-wafer runtime.
 
-use crate::recovery::{EnsembleCheckpoint, FabricCheckpoint};
+use crate::recovery::{EnsembleCheckpoint, FabricCheckpoint, STALL_WINDOW};
 use wse_arch::fabric::StallReport;
 use wse_arch::types::{Reg, TaskId};
 use wse_arch::Fabric;
@@ -66,6 +66,72 @@ pub trait WaferExec {
     fn reset_transient(&mut self);
     /// Drops a zero-length trace marker (no-op when untraced).
     fn phase_marker(&mut self, name: &'static str);
+    /// Describes every host link declared down so far (none on a single
+    /// wafer). A recovering solve appends these to its event trail, so an
+    /// exhausted link is reported structurally, never silently.
+    fn link_down_events(&self) -> Vec<String> {
+        Vec::new()
+    }
+}
+
+/// The rectangular tile region a single-wafer driver's program occupies,
+/// and the one phase runner those drivers share: activate one task on
+/// every tile of the region, then run to quiescence under the stall
+/// watchdog. A stall comes back as the watchdog's [`StallReport`] instead
+/// of a panic, so the recovery layer can roll back.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct TileRegion {
+    /// Fabric coordinates of the top-left tile.
+    pub(crate) origin: (usize, usize),
+    /// Width in tiles.
+    pub(crate) w: usize,
+    /// Height in tiles.
+    pub(crate) h: usize,
+    /// Cycle budget of one compute phase (SpMV, dot, update, scalar).
+    pub(crate) budget: u64,
+}
+
+impl TileRegion {
+    /// Activates `pick(x, y)` (region-local coordinates) on every tile and
+    /// runs to quiescence within `budget` cycles, bracketed as trace phase
+    /// `name`. Returns the cycles elapsed.
+    fn run<E: WaferExec>(
+        &self,
+        exec: &mut E,
+        name: &'static str,
+        budget: u64,
+        pick: impl Fn(usize, usize) -> TaskId,
+    ) -> Result<u64, Box<StallReport>> {
+        let (ox, oy) = self.origin;
+        for y in 0..self.h {
+            for x in 0..self.w {
+                exec.activate(ox + x, oy + y, pick(x, y));
+            }
+        }
+        exec.run_phase(name, budget, STALL_WINDOW)
+    }
+
+    /// A compute phase: every tile runs the task `pick` selects from its
+    /// entry in `tiles` (region row-major order).
+    pub(crate) fn phase<E: WaferExec, T>(
+        &self,
+        exec: &mut E,
+        name: &'static str,
+        tiles: &[T],
+        pick: impl Fn(&T) -> TaskId,
+    ) -> Result<u64, Box<StallReport>> {
+        self.run(exec, name, self.budget, |x, y| pick(&tiles[y * self.w + x]))
+    }
+
+    /// One AllReduce round (trace phase `"allreduce"`): every tile runs its
+    /// reduction task `pick(x, y)`.
+    pub(crate) fn allreduce<E: WaferExec>(
+        &self,
+        exec: &mut E,
+        pick: impl Fn(usize, usize) -> TaskId,
+    ) -> Result<u64, Box<StallReport>> {
+        self.run(exec, "allreduce", 100 * (self.w + self.h) as u64 + 50_000, pick)
+    }
 }
 
 impl WaferExec for Fabric {
@@ -186,5 +252,9 @@ impl WaferExec for MultiFabric {
 
     fn phase_marker(&mut self, name: &'static str) {
         MultiFabric::phase_marker(self, name);
+    }
+
+    fn link_down_events(&self) -> Vec<String> {
+        self.link_down_records().iter().map(|d| d.describe()).collect()
     }
 }

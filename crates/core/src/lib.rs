@@ -16,8 +16,10 @@
 //!   communication-fused variant),
 //! * [`cg`] — conjugate gradients on the fabric, in standard and
 //!   Chronopoulos–Gear single-reduction forms,
-//! * [`recovery`] — shared residual tripwire plus checkpoint/rollback
-//!   recovery so solves survive injected faults (see `wse-arch::fault`).
+//! * [`recovery`] — the [`WaferSolver`] trait every driver implements,
+//!   whose one solve loop and one recovering solve loop run the shared
+//!   residual tripwire and checkpoint/rollback recovery so solves survive
+//!   injected faults (see `wse-arch::fault`).
 
 #![warn(missing_docs)]
 
@@ -33,12 +35,12 @@ pub mod routing;
 pub mod spmv2d;
 pub mod spmv3d;
 
-pub use bicgstab::WaferBicgstab;
+pub use bicgstab::{IterCycles, WaferBicgstab};
 pub use exec::WaferExec;
-pub use multi::{build_transparent, MultiIterCycles, MultiSolveStats, WaferBicgstabMulti};
+pub use multi::{build_transparent, MultiIterCycles, WaferBicgstabMulti};
 pub use recovery::{
     EnsembleCheckpoint, FabricCheckpoint, RecoveryLog, RecoveryOutcome, RecoveryPolicy,
-    ResidualTripwire, TripwireVerdict,
+    ResidualTripwire, SolveStats, TripwireVerdict, WaferSolver,
 };
 pub use spmv3d::WaferSpmv;
 

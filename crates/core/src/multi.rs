@@ -62,9 +62,7 @@ use crate::bicgstab::{
 };
 use crate::exec::WaferExec;
 use crate::kernels::xpay_stmts;
-use crate::recovery::{
-    self, run_with_recovery, RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire,
-};
+use crate::recovery::{self, WaferSolver};
 use crate::routing::configure_spmv_routes;
 use crate::spmv3d::{
     build_overlap_halo, build_spmv_tile_halo, build_spmv_tile_overlapped, load_coefficients,
@@ -178,25 +176,6 @@ impl MultiIterCycles {
     /// wall-clock, so they do not count).
     pub fn total(&self) -> u64 {
         self.compute.total() + self.halo + self.host_allreduce
-    }
-}
-
-/// Statistics of a distributed solve.
-#[derive(Clone, Debug, Default)]
-pub struct MultiSolveStats {
-    /// Per-iteration cycle breakdowns.
-    pub iterations: Vec<MultiIterCycles>,
-    /// Relative residual ‖r‖/‖b‖ per iteration (from the on-wafer dot).
-    pub residuals: Vec<f64>,
-}
-
-impl MultiSolveStats {
-    /// Mean cycles per iteration.
-    pub fn mean_cycles(&self) -> f64 {
-        if self.iterations.is_empty() {
-            return 0.0;
-        }
-        self.iterations.iter().map(|i| i.total() as f64).sum::<f64>() / self.iterations.len() as f64
     }
 }
 
@@ -1339,94 +1318,32 @@ impl WaferBicgstabMulti {
         }
         out
     }
+}
 
-    /// Loads `b`, runs up to `iters` iterations (with the same host-side
-    /// convergence tripwire as the single-wafer solver), and returns the
-    /// final iterate plus per-iteration statistics.
-    ///
-    /// # Panics
-    /// Panics on a fabric stall.
-    pub fn solve(
-        &self,
-        multi: &mut MultiFabric,
-        b: &[F16],
-        iters: usize,
-    ) -> (Vec<F16>, MultiSolveStats) {
-        let norm_b = {
-            let s: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum();
-            s.sqrt()
-        };
-        if norm_b == 0.0 {
-            return (vec![F16::ZERO; b.len()], MultiSolveStats::default());
-        }
-        self.load_rhs(multi, b);
-        let mut stats = MultiSolveStats::default();
-        let tripwire = ResidualTripwire::default();
-        for _ in 0..iters {
-            let c = self.iterate(multi);
-            let rn = self.residual_norm(multi) as f64;
-            stats.iterations.push(c);
-            let rel = rn / norm_b;
-            stats.residuals.push(rel);
-            if tripwire.check(rel).stops() {
-                break;
-            }
-        }
-        (self.read_x(multi), stats)
+/// The ensemble driver under the shared solve loops. A recovering solve
+/// survives host-link faults armed on the [`MultiFabric`]: a dropped or
+/// corrupted seam frame is usually masked by the reliable transport's
+/// retransmission, a dead link or a dark stall trips the watchdog and
+/// rolls the whole ensemble back to the last
+/// [`crate::recovery::EnsembleCheckpoint`], and any
+/// [`wse_multi::LinkDown`] declarations end up in the log's event trail.
+impl WaferSolver<MultiFabric> for WaferBicgstabMulti {
+    type Cycles = MultiIterCycles;
+
+    fn load(&self, multi: &mut MultiFabric, b: &[F16]) -> Result<(), Box<StallReport>> {
+        self.try_load_rhs(multi, b)
     }
 
-    /// Like [`WaferBicgstabMulti::solve`], but runs under the
-    /// checkpoint/rollback recovery engine so the ensemble solve survives
-    /// injected faults — including host-link faults armed on the
-    /// [`MultiFabric`]: a dropped or corrupted seam frame is usually
-    /// masked by the reliable transport's retransmission, a dead link or
-    /// a dark stall trips the watchdog and rolls the whole ensemble back
-    /// to the last [`crate::recovery::EnsembleCheckpoint`], and
-    /// `Converged` claims are verified against `a`'s f64 true residual
-    /// before being believed. Any [`wse_multi::LinkDown`] declarations
-    /// made along the way are appended to the returned log's event trail,
-    /// so exhausted links are reported structurally, never silently.
-    pub fn solve_with_recovery(
-        &self,
-        multi: &mut MultiFabric,
-        a: &DiaMatrix<F16>,
-        b: &[F16],
-        iters: usize,
-        policy: &RecoveryPolicy,
-    ) -> (Vec<F16>, MultiSolveStats, RecoveryLog) {
-        let norm_b = {
-            let s: f64 = b.iter().map(|v| v.to_f64() * v.to_f64()).sum();
-            s.sqrt()
-        };
-        let mut stats = MultiSolveStats::default();
-        if norm_b == 0.0 {
-            let log = RecoveryLog { outcome: RecoveryOutcome::Converged, ..RecoveryLog::default() };
-            return (vec![F16::ZERO; b.len()], stats, log);
-        }
-        let mut log = run_with_recovery(
-            multi,
-            iters,
-            policy,
-            |m| self.try_load_rhs(m, b),
-            |m, i| {
-                // Re-entered with a rolled-back index after recovery: drop
-                // the records of the discarded iterations.
-                stats.iterations.truncate(i);
-                stats.residuals.truncate(i);
-                let c = self.try_iterate(m)?;
-                let rel = self.try_residual_norm(m)? as f64 / norm_b;
-                stats.iterations.push(c);
-                stats.residuals.push(rel);
-                Ok(rel)
-            },
-            |m| recovery::true_rel_residual(a, &self.read_x(m), b),
-        );
-        for down in multi.link_down_records() {
-            log.events.push(down.describe());
-        }
-        stats.iterations.truncate(log.iterations);
-        stats.residuals.truncate(log.iterations);
-        (self.read_x(multi), stats, log)
+    fn step(&self, multi: &mut MultiFabric, _: usize) -> Result<MultiIterCycles, Box<StallReport>> {
+        self.try_iterate(multi)
+    }
+
+    fn norm_r(&self, multi: &mut MultiFabric) -> Result<f64, Box<StallReport>> {
+        Ok(self.try_residual_norm(multi)? as f64)
+    }
+
+    fn fetch_x(&self, multi: &MultiFabric) -> Vec<F16> {
+        self.read_x(multi)
     }
 }
 
@@ -1658,6 +1575,7 @@ pub fn build_transparent(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecoveryPolicy;
     use stencil::mesh::Mesh3D;
     use stencil::precond::jacobi_scale;
     use stencil::stencil7::poisson;

@@ -19,6 +19,10 @@
 //!   boundaries, and on a stall or tripwire trip restore the last checkpoint
 //!   and retry within a strict total-retry budget. Every decision is recorded
 //!   in a [`RecoveryLog`].
+//! * [`WaferSolver`] — the four operator-specific steps every wafer driver
+//!   supplies (load the rhs, run one iteration, compute ‖r‖, read back `x`),
+//!   with the one plain solve loop and the one recovering solve loop built
+//!   on them.
 //!
 //! # Why convergence is re-verified
 //!
@@ -31,6 +35,7 @@
 //! check in place, a fault can cost iterations or retries, but never a silent
 //! wrong answer.
 
+use crate::bicgstab::IterCycles;
 use crate::exec::WaferExec;
 use stencil::dia::DiaMatrix;
 use wse_arch::fabric::StallReport;
@@ -144,7 +149,7 @@ impl Default for RecoveryPolicy {
             checkpoint_every: 4,
             max_retries: 3,
             verify_rel: 1e-2,
-            tripwire: ResidualTripwire::default(),
+            tripwire: Default::default(),
             label: String::new(),
         }
     }
@@ -484,6 +489,139 @@ pub fn run_with_recovery<E: WaferExec>(
     log.outcome = RecoveryOutcome::MaxIterations;
     log.iterations = it;
     log
+}
+
+/// Statistics of a plain [`WaferSolver::solve`]: one cycle breakdown of
+/// the driver's type `C` and one relative residual per iteration.
+#[derive(Clone, Debug)]
+pub struct SolveStats<C> {
+    /// Per-iteration cycle breakdowns.
+    pub iterations: Vec<C>,
+    /// Relative residual ‖r‖/‖b‖ per iteration.
+    pub residuals: Vec<f64>,
+}
+
+impl<C> Default for SolveStats<C> {
+    fn default() -> Self {
+        SolveStats { iterations: Vec::new(), residuals: Vec::new() }
+    }
+}
+
+impl SolveStats<IterCycles> {
+    /// Mean cycles per iteration.
+    pub fn mean_cycles(&self) -> f64 {
+        if self.iterations.is_empty() {
+            return 0.0;
+        }
+        self.iterations.iter().map(|i| i.total() as f64).sum::<f64>() / self.iterations.len() as f64
+    }
+}
+
+/// A wafer solver driver on execution target `E`, as the shared solve
+/// loops see it.
+///
+/// A driver supplies the four operator-specific steps; the host-side loop
+/// around them — ‖b‖, the zero right-hand side, the residual tripwire, and
+/// checkpoint/rollback recovery — exists once, in the provided
+/// [`WaferSolver::solve`] and [`WaferSolver::solve_with_recovery`].
+pub trait WaferSolver<E: WaferExec> {
+    /// Per-iteration cycle breakdown.
+    type Cycles;
+
+    /// Loads the right-hand side `b` (global mesh order), zeroes the
+    /// iterate, and seeds the scalar state.
+    fn load(&self, exec: &mut E, b: &[F16]) -> Result<(), Box<StallReport>>;
+    /// Runs iteration `i` (zero-based; CG's single-reduction variant takes
+    /// a different coefficient path at `i == 0`).
+    fn step(&self, exec: &mut E, i: usize) -> Result<Self::Cycles, Box<StallReport>>;
+    /// The residual norm ‖r‖ (not yet divided by ‖b‖).
+    fn norm_r(&self, exec: &mut E) -> Result<f64, Box<StallReport>>;
+    /// Reads the iterate back in global mesh order.
+    fn fetch_x(&self, exec: &E) -> Vec<F16>;
+
+    /// Loads `b`, runs up to `iters` iterations under the default
+    /// [`ResidualTripwire`], and returns the final iterate plus
+    /// per-iteration statistics. The host decides whether to launch each
+    /// iteration (the wafer tasks carry no conditionals), so a zero
+    /// right-hand side returns the zero solution without touching the
+    /// fabric — iterating would divide 0/0 in the coefficient tasks.
+    ///
+    /// # Panics
+    /// Panics on a fabric stall.
+    fn solve(&self, exec: &mut E, b: &[F16], iters: usize) -> (Vec<F16>, SolveStats<Self::Cycles>) {
+        let mut stats = SolveStats::default();
+        let norm_b = norm(b);
+        if norm_b == 0.0 {
+            return (vec![F16::ZERO; b.len()], stats);
+        }
+        self.load(exec, b).unwrap_or_else(stalled);
+        let tripwire = ResidualTripwire::default();
+        for i in 0..iters {
+            stats.iterations.push(self.step(exec, i).unwrap_or_else(stalled));
+            let rel = self.norm_r(exec).unwrap_or_else(stalled) / norm_b;
+            stats.residuals.push(rel);
+            if tripwire.check(rel).stops() {
+                break;
+            }
+        }
+        (self.fetch_x(exec), stats)
+    }
+
+    /// Like [`WaferSolver::solve`], but under [`run_with_recovery`] so the
+    /// solve survives injected faults: stalls are caught by the watchdog,
+    /// residual anomalies by the tripwire, and `Converged` claims are
+    /// verified against `a`'s f64 true residual (`a` in the same global
+    /// mesh order as `b`). Any host links declared down along the way are
+    /// appended to the log's event trail. Returns the iterate, the
+    /// committed iterations' relative residuals, and the [`RecoveryLog`].
+    fn solve_with_recovery(
+        &self,
+        exec: &mut E,
+        a: &DiaMatrix<F16>,
+        b: &[F16],
+        iters: usize,
+        policy: &RecoveryPolicy,
+    ) -> (Vec<F16>, Vec<f64>, RecoveryLog) {
+        let mut residuals = Vec::new();
+        let norm_b = norm(b);
+        if norm_b == 0.0 {
+            let log = RecoveryLog {
+                outcome: RecoveryOutcome::Converged,
+                label: policy.label.clone(),
+                ..RecoveryLog::default()
+            };
+            return (vec![F16::ZERO; b.len()], residuals, log);
+        }
+        let mut log = run_with_recovery(
+            exec,
+            iters,
+            policy,
+            |e| self.load(e, b),
+            |e, i| {
+                // Re-entered with a rolled-back index after recovery: drop
+                // the records of the discarded iterations.
+                residuals.truncate(i);
+                self.step(e, i)?;
+                let rel = self.norm_r(e)? / norm_b;
+                residuals.push(rel);
+                Ok(rel)
+            },
+            |e| true_rel_residual(a, &self.fetch_x(e), b),
+        );
+        log.events.extend(exec.link_down_events());
+        residuals.truncate(log.iterations);
+        (self.fetch_x(exec), residuals, log)
+    }
+}
+
+/// ‖b‖₂ in f64.
+fn norm(b: &[F16]) -> f64 {
+    b.iter().map(|v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt()
+}
+
+/// The plain solve's response to a fabric stall.
+fn stalled<T>(e: Box<StallReport>) -> T {
+    panic!("wafer solve stalled: {e}")
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use wse_core::allreduce::AllReduce;
 use wse_core::bicgstab2d::WaferBicgstab2d;
 use wse_core::cg::{CgVariant, WaferCg};
 use wse_core::spmv2d::WaferSpmv2d;
-use wse_core::{WaferBicgstab, WaferSpmv};
+use wse_core::{WaferBicgstab, WaferSolver, WaferSpmv};
 use wse_float::F16;
 
 fn assert_no_trips(fabric: &mut Fabric, what: &str) {
@@ -117,9 +117,9 @@ fn cg_iterates_clean_under_sanitizer() {
         let mut fabric = Fabric::new(3, 3);
         let k = WaferCg::build(&mut fabric, &a, variant);
         fabric.arm_sanitizer();
-        k.load_rhs(&mut fabric, &b);
-        let _ = k.iterate(&mut fabric, true);
-        let _ = k.iterate(&mut fabric, false);
+        k.load(&mut fabric, &b).unwrap();
+        k.step(&mut fabric, 0).unwrap();
+        k.step(&mut fabric, 1).unwrap();
         assert_no_trips(&mut fabric, &format!("cg {variant:?}"));
     }
 }
@@ -133,9 +133,9 @@ fn bicgstab2d_iterates_clean_under_sanitizer() {
     let mut fabric = Fabric::new(3, 3);
     let k = WaferBicgstab2d::build(&mut fabric, &a, block);
     fabric.arm_sanitizer();
-    k.load_rhs(&mut fabric, &b);
-    for _ in 0..2 {
-        let _ = k.iterate(&mut fabric);
+    k.load(&mut fabric, &b).unwrap();
+    for i in 0..2 {
+        k.step(&mut fabric, i).unwrap();
     }
     assert_no_trips(&mut fabric, "bicgstab2d 3x3");
 }

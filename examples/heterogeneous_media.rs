@@ -7,6 +7,7 @@
 //! cargo run --release --example heterogeneous_media [-- <contrast-exponent>]
 //! ```
 
+use wafer_stencil::kernels::WaferSolver;
 use wafer_stencil::prelude::*;
 use wafer_stencil::solver_::refinement::{iterative_refinement, RefinementOptions};
 use wafer_stencil::solver_::spectral::estimate_condition;

@@ -6,6 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use wafer_stencil::kernels::WaferSolver;
 use wafer_stencil::prelude::*;
 
 fn main() {

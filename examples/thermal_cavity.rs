@@ -9,6 +9,7 @@
 
 use wafer_stencil::cfd_::scalar::ScalarTransport;
 use wafer_stencil::cfd_::Cavity;
+use wafer_stencil::kernels::WaferSolver;
 use wafer_stencil::prelude::*;
 use wafer_stencil::stencil_::precond::jacobi_scale;
 

@@ -25,6 +25,7 @@
 //! ## Quickstart
 //!
 //! ```
+//! use wafer_stencil::kernels::WaferSolver;
 //! use wafer_stencil::prelude::*;
 //!
 //! // A diagonally preconditioned 7-point system on a small mesh…

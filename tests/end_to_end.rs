@@ -3,6 +3,7 @@
 
 use wafer_stencil::cfd_::cavity::Cavity;
 use wafer_stencil::cfd_::grid::Component;
+use wafer_stencil::kernels::WaferSolver;
 use wafer_stencil::prelude::*;
 use wafer_stencil::solver_::policy::MixedF16;
 use wafer_stencil::stencil_::precond::jacobi_scale;

@@ -3,6 +3,7 @@
 //! communication-reduced solvers.
 
 use wafer_stencil::kernels::cg::{CgVariant, WaferCg};
+use wafer_stencil::kernels::WaferSolver;
 use wafer_stencil::prelude::*;
 use wafer_stencil::solver_::refinement::{iterative_refinement, RefinementOptions};
 use wafer_stencil::stencil_::precond::jacobi_scale;
@@ -43,8 +44,8 @@ fn wafer_cg_handles_anisotropy() {
     for variant in [CgVariant::Standard, CgVariant::SingleReduction] {
         let mut fabric = Fabric::new(4, 4);
         let cg = WaferCg::build(&mut fabric, &a16, variant);
-        let (_, _, residuals) = cg.solve(&mut fabric, &b16, 30);
-        let best = residuals.iter().copied().fold(f64::INFINITY, f64::min);
+        let (_, stats) = cg.solve(&mut fabric, &b16, 30);
+        let best = stats.residuals.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(best < 0.05, "{variant:?}: best residual {best}");
     }
 }

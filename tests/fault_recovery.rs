@@ -18,7 +18,7 @@ use wafer_stencil::arch::{FaultKind, FaultKindClass, FaultPlan};
 use wafer_stencil::kernels::recovery::{
     true_rel_residual, RecoveryLog, RecoveryOutcome, RecoveryPolicy, ResidualTripwire,
 };
-use wafer_stencil::kernels::WaferBicgstabMulti;
+use wafer_stencil::kernels::{WaferBicgstabMulti, WaferSolver};
 use wafer_stencil::prelude::*;
 use wse_multi::{HostLink, MultiFabric};
 
@@ -178,8 +178,9 @@ fn seeded_runs_are_bit_for_bit_reproducible() {
             &wafer_stencil::arch::FaultKindClass::ALL,
         );
         fabric.arm_faults(&plan);
-        let (x, stats, log) = solver.solve_with_recovery(&mut fabric, &a, &b, 12, &fp16_policy());
-        (x, stats.residuals.clone(), format!("{log:?}"), format!("{:?}", fabric.fault_log()))
+        let (x, residuals, log) =
+            solver.solve_with_recovery(&mut fabric, &a, &b, 12, &fp16_policy());
+        (x, residuals, format!("{log:?}"), format!("{:?}", fabric.fault_log()))
     };
     let first = run();
     let second = run();
@@ -417,4 +418,55 @@ proptest! {
             );
         }
     }
+}
+
+/// A zero right-hand side needs no launch, but its log must still bill the
+/// job: the early exit carries the policy's label like every other
+/// outcome, on a single wafer and on an ensemble.
+#[test]
+fn zero_rhs_recovering_solve_keeps_the_job_label() {
+    let (a, b) = fp16_problem(Mesh3D::new(4, 2, 4));
+    let zero = vec![F16::ZERO; b.len()];
+    let policy = fp16_policy().labeled("tenant-1/job-7");
+
+    let mut fabric = Fabric::new(4, 2);
+    let solver = WaferBicgstab::build(&mut fabric, &a);
+    let (x, _, log) = solver.solve_with_recovery(&mut fabric, &a, &zero, 16, &policy);
+    assert_eq!(log.outcome, RecoveryOutcome::Converged);
+    assert_eq!(log.label, "tenant-1/job-7", "single-wafer zero-rhs log lost its label");
+    assert!(x.iter().all(|v| v.to_f64() == 0.0));
+
+    let mut multi = MultiFabric::new(4, 2, 2, HostLink::paper_default());
+    let dist = WaferBicgstabMulti::build(&mut multi, &a);
+    let (_, _, log) = dist.solve_with_recovery(&mut multi, &a, &zero, 16, &policy);
+    assert_eq!(log.label, "tenant-1/job-7", "ensemble zero-rhs log lost its label");
+}
+
+/// Transparent mode recovers too: the single-wafer program split across a
+/// k=2 ensemble under the ideal link runs the same recovering solve as the
+/// fused fabric — ensemble checkpoints included — and commits the same
+/// residual trajectory and iterate bit for bit.
+#[test]
+fn transparent_split_recovering_solve_matches_fused_fabric() {
+    let (a, b) = fp16_problem(Mesh3D::new(6, 4, 8));
+    let policy = RecoveryPolicy { checkpoint_every: 2, ..fp16_policy() };
+
+    let mut fabric = Fabric::new(6, 4);
+    let solver = WaferBicgstab::build(&mut fabric, &a);
+    let (x_ref, r_ref, log_ref) = solver.solve_with_recovery(&mut fabric, &a, &b, 12, &policy);
+
+    let (split, mut multi) = wafer_stencil::kernels::build_transparent(&a, 2, HostLink::ideal());
+    let (x, r, log) = split.solve_with_recovery(&mut multi, &a, &b, 12, &policy);
+
+    let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert!(!r_ref.is_empty());
+    assert_eq!(bits(&r), bits(&r_ref), "residual trajectory diverged");
+    assert_eq!(
+        x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        x_ref.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        "iterate bits diverged"
+    );
+    assert_eq!((log.outcome, log.iterations), (log_ref.outcome, log_ref.iterations));
+    assert_eq!(log.checkpoints_taken, log_ref.checkpoints_taken);
+    assert!(log.checkpoints_taken > 1, "the solve must capture ensemble checkpoints: {log}");
 }
